@@ -12,24 +12,30 @@
 
 use std::time::Instant;
 
+use refloat_bench::args::{parse_positive_usize, UsageError};
 use refloat_bench::bench_emit::{default_bench_dir, emit};
 use refloat_bench::json::has_flag;
 use refloat_core::{ReFloatConfig, ReFloatMatrix};
 use refloat_matgen::generators;
 use refloat_telemetry::BenchReport;
 
-fn arg_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+/// `(scale, reps)` from `--scale N` and `--reps N`, each a positive integer.
+fn parse_sizes(args: &[String], quick: bool) -> Result<(usize, usize), UsageError> {
+    let scale = parse_positive_usize(args, "--scale")?.unwrap_or(if quick { 96 } else { 192 });
+    let reps = parse_positive_usize(args, "--reps")?.unwrap_or(if quick { 4 } else { 16 });
+    Ok((scale, reps))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = has_flag(&args, "--quick");
-    let scale = arg_value(&args, "--scale").unwrap_or(if quick { 96 } else { 192 }) as usize;
-    let reps = arg_value(&args, "--reps").unwrap_or(if quick { 4 } else { 16 }) as usize;
+    let (scale, reps) = match parse_sizes(&args, quick) {
+        Ok(sizes) => sizes,
+        Err(usage) => {
+            eprintln!("bench_encode: {usage}");
+            std::process::exit(2);
+        }
+    };
     let format = ReFloatConfig::paper_default();
 
     let a = generators::laplacian_2d(scale, scale, 0.2).to_csr();

@@ -14,6 +14,7 @@
 
 use std::time::Instant;
 
+use refloat_bench::args::{parse_positive_usize, UsageError};
 use refloat_bench::bench_emit::{default_bench_dir, emit};
 use refloat_bench::json::has_flag;
 use refloat_core::{ReFloatConfig, ReFloatMatrix};
@@ -22,11 +23,11 @@ use refloat_solvers::LinearOperator;
 use refloat_telemetry::BenchReport;
 use reram_sim::AcceleratorConfig;
 
-fn arg_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+/// `(scale, reps)` from `--scale N` and `--reps N`, each a positive integer.
+fn parse_sizes(args: &[String], quick: bool) -> Result<(usize, usize), UsageError> {
+    let scale = parse_positive_usize(args, "--scale")?.unwrap_or(if quick { 128 } else { 256 });
+    let reps = parse_positive_usize(args, "--reps")?.unwrap_or(if quick { 20 } else { 100 });
+    Ok((scale, reps))
 }
 
 /// Times `reps` applications of `op` and returns (nnz/s, checksum of the last `y`).
@@ -52,8 +53,13 @@ fn time_apply<O: LinearOperator>(
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = has_flag(&args, "--quick");
-    let scale = arg_value(&args, "--scale").unwrap_or(if quick { 128 } else { 256 }) as usize;
-    let reps = arg_value(&args, "--reps").unwrap_or(if quick { 20 } else { 100 }) as usize;
+    let (scale, reps) = match parse_sizes(&args, quick) {
+        Ok(sizes) => sizes,
+        Err(usage) => {
+            eprintln!("bench_spmv: {usage}");
+            std::process::exit(2);
+        }
+    };
     let format = ReFloatConfig::paper_default();
 
     let a = generators::laplacian_2d(scale, scale, 0.2).to_csr();

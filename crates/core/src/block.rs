@@ -1,7 +1,7 @@
 //! Per-block encoding: exponent-base selection (Eq. 4–5) and block conversion.
 
 use crate::format::ReFloatConfig;
-use crate::scalar::{decompose, pow2, quantize_fraction};
+use crate::scalar::{exponent, Quantizer};
 use refloat_sparse::blocked::Block;
 
 /// Chooses the exponent base `eb` for a set of values.
@@ -17,8 +17,8 @@ where
     let mut sum = 0i64;
     let mut count = 0i64;
     for &v in values {
-        if let Some(d) = decompose(v) {
-            sum += d.exponent as i64;
+        if let Some(e) = exponent(v) {
+            sum += e as i64;
             count += 1;
         }
     }
@@ -39,9 +39,9 @@ where
 {
     values
         .into_iter()
-        .filter_map(|&v| decompose(v))
-        .map(|d| {
-            let diff = (d.exponent - eb) as f64;
+        .filter_map(|&v| exponent(v))
+        .map(|e| {
+            let diff = (e - eb) as f64;
             diff * diff
         })
         .sum()
@@ -90,54 +90,13 @@ impl ReFloatBlock {
         let mut offsets = Vec::with_capacity(n);
         let mut fraction_codes = Vec::with_capacity(n);
         let mut decoded = Vec::with_capacity(n);
-        let max_off = config.max_offset();
-        let frac_scale = (1u64 << config.f) as f64;
-
+        let quantizer = Quantizer::new(config.e, config.f, config.rounding, config.underflow);
         for &v in &block.vals {
-            match decompose(v) {
-                None => {
-                    signs.push(false);
-                    offsets.push(0);
-                    fraction_codes.push(0);
-                    decoded.push(0.0);
-                }
-                Some(d) => {
-                    let offset = d.exponent - eb;
-                    let (clamped, flushed) = if offset > max_off {
-                        (max_off, false)
-                    } else if offset < -max_off {
-                        match config.underflow {
-                            crate::format::UnderflowMode::Saturate => (-max_off, false),
-                            crate::format::UnderflowMode::FlushToZero => (0, true),
-                        }
-                    } else {
-                        (offset, false)
-                    };
-                    if flushed {
-                        signs.push(d.negative);
-                        offsets.push(0);
-                        fraction_codes.push(0);
-                        decoded.push(0.0);
-                        continue;
-                    }
-                    let mut frac = quantize_fraction(d.fraction, config.f, config.rounding);
-                    let mut exp = eb + clamped;
-                    let mut stored_offset = clamped;
-                    if frac >= 2.0 {
-                        frac /= 2.0;
-                        if stored_offset < max_off {
-                            stored_offset += 1;
-                            exp += 1;
-                        }
-                    }
-                    let code = ((frac - 1.0) * frac_scale).round() as u32;
-                    let magnitude = frac * pow2(exp);
-                    signs.push(d.negative);
-                    offsets.push(stored_offset as i8);
-                    fraction_codes.push(code);
-                    decoded.push(if d.negative { -magnitude } else { magnitude });
-                }
-            }
+            let q = quantizer.encode(v, eb);
+            signs.push(q.negative);
+            offsets.push(q.offset as i8);
+            fraction_codes.push(q.code);
+            decoded.push(q.value);
         }
 
         ReFloatBlock {
@@ -202,6 +161,7 @@ impl ReFloatBlock {
 mod tests {
     use super::*;
     use crate::format::UnderflowMode;
+    use crate::scalar::pow2;
     use proptest::prelude::*;
 
     fn block_from_values(vals: &[f64]) -> Block {
@@ -296,6 +256,44 @@ mod tests {
         assert_eq!(back.rows, block.rows);
         assert_eq!(back.cols, block.cols);
         assert_eq!(back.vals, enc.decoded);
+    }
+
+    fn round_nearest(e: u32, f: u32) -> ReFloatConfig {
+        ReFloatConfig::new(2, e, f, e, f).with_rounding(crate::format::RoundingMode::RoundNearest)
+    }
+
+    #[test]
+    fn round_nearest_carry_at_saturated_offset_clamps_to_max_fraction() {
+        // eb = 0, e = 3 (max offset 3), f = 8: a fraction that rounds up to 2.0 at
+        // the top offset, or above the window, stays at offset 3 with the all-ones
+        // fraction code, (2 − 2^−8)·2^3, instead of halving to 2^3.
+        let top = (2.0 - 2.0f64.powi(-8)) * 8.0;
+        let block = block_from_values(&[
+            (2.0 - 2.0f64.powi(-9)) * 8.0,
+            (2.0 - 2.0f64.powi(-9)) * 64.0,
+        ]);
+        let enc = ReFloatBlock::encode_with_base(&block, &round_nearest(3, 8), 0);
+        assert_eq!(enc.decoded, vec![top, top]);
+        assert_eq!(enc.offsets, vec![3, 3]);
+        assert_eq!(enc.fraction_codes, vec![255, 255]);
+        // f = 0: the only representable fraction is 1.0.
+        let block = block_from_values(&[1.75 * 8.0]);
+        let enc = ReFloatBlock::encode_with_base(&block, &round_nearest(3, 0), 0);
+        assert_eq!((enc.decoded[0], enc.offsets[0]), (8.0, 3));
+    }
+
+    #[test]
+    fn round_nearest_carry_below_the_window_clamps_at_the_saturation_floor() {
+        // e = 2 (window ±1), f = 0: 1.6·2^−3 saturates to offset −1 and must stay
+        // there at 0.5, not renormalize to offset 0.
+        let block = block_from_values(&[1.6 * 0.125]);
+        let enc = ReFloatBlock::encode_with_base(&block, &round_nearest(2, 0), 0);
+        assert_eq!((enc.decoded[0], enc.offsets[0]), (0.5, -1));
+        // e = 3, f = 3: 1.99·2^−12 clamps to (2 − 2^−3)·2^−3 at offset −3.
+        let block = block_from_values(&[1.99 * 2.0f64.powi(-12)]);
+        let enc = ReFloatBlock::encode_with_base(&block, &round_nearest(3, 3), 0);
+        assert_eq!(enc.decoded[0], 1.875 * 0.125);
+        assert_eq!((enc.offsets[0], enc.fraction_codes[0]), (-3, 7));
     }
 
     proptest! {

@@ -21,7 +21,8 @@
 //!
 //! # What lives where
 //!
-//! * [`scalar`] — bit-exact decomposition/encoding of a single f64 value,
+//! * [`scalar`] — bit-exact decomposition of a single f64 value and the bit-level
+//!   conversion kernel ([`scalar::Quantizer`]) every encoder and converter calls,
 //! * [`block`] — per-block base selection and encoding ([`ReFloatBlock`]),
 //! * [`vector`] — the vector converter ([`vector::VectorConverter`]),
 //! * [`matrix`] — [`ReFloatMatrix`], the quantized operator that plugs into the solvers,
@@ -56,6 +57,8 @@ pub mod incremental;
 pub mod locality;
 pub mod matrix;
 pub mod memory;
+#[cfg(test)]
+mod oracle;
 pub mod resilience;
 pub mod scalar;
 pub mod sharded;

@@ -11,6 +11,8 @@
 //! (verified against [`ReFloatMatrix::apply`] by the crossbar simulator in `reram-sim`),
 //! and the final scaling by `2^{eb+ebv}` is a pure exponent addition.
 
+use std::sync::Arc;
+
 use crate::block::ReFloatBlock;
 use crate::format::ReFloatConfig;
 use crate::vector::VectorConverter;
@@ -23,7 +25,9 @@ pub struct ReFloatMatrix {
     nrows: usize,
     ncols: usize,
     config: ReFloatConfig,
-    blocks: Vec<ReFloatBlock>,
+    /// The encoded blocks, immutable once built: clones (a solver takes one per
+    /// solve, since applying mutates the converter scratch) share them.
+    blocks: Arc<[ReFloatBlock]>,
     converter: VectorConverter,
     /// Scratch buffer holding the quantized input vector (reused across applies).
     quantized_input: Vec<f64>,
@@ -42,20 +46,12 @@ impl ReFloatMatrix {
             blocked.b(),
             config.b
         );
-        let blocks: Vec<ReFloatBlock> = blocked
+        let blocks = blocked
             .blocks()
             .iter()
             .map(|blk| ReFloatBlock::encode(blk, &config))
             .collect();
-        ReFloatMatrix {
-            nrows: blocked.nrows(),
-            ncols: blocked.ncols(),
-            config,
-            blocks,
-            converter: VectorConverter::new(config),
-            quantized_input: vec![0.0; blocked.ncols()],
-            quantize_vectors: true,
-        }
+        Self::from_parts(blocked.nrows(), blocked.ncols(), config, blocks)
     }
 
     /// Assembles a matrix from already-encoded blocks (block-row-major order), used by
@@ -70,7 +66,7 @@ impl ReFloatMatrix {
             nrows,
             ncols,
             config,
-            blocks,
+            blocks: blocks.into(),
             converter: VectorConverter::new(config),
             quantized_input: vec![0.0; ncols],
             quantize_vectors: true,
@@ -121,7 +117,7 @@ impl ReFloatMatrix {
     pub fn to_quantized_csr(&self) -> CsrMatrix {
         let mut coo = refloat_sparse::CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz());
         let bs = self.config.block_size();
-        for blk in &self.blocks {
+        for blk in self.blocks.iter() {
             let row0 = blk.block_row * bs;
             let col0 = blk.block_col * bs;
             for (ii, jj, v) in blk.iter_decoded() {
@@ -148,7 +144,7 @@ impl ReFloatMatrix {
             *yi = 0.0;
         }
         let bs = self.config.block_size();
-        for blk in &self.blocks {
+        for blk in self.blocks.iter() {
             let row0 = blk.block_row * bs;
             let col0 = blk.block_col * bs;
             for (ii, jj, v) in blk.iter_decoded() {

@@ -9,18 +9,8 @@
 
 use crate::block::optimal_exponent_base;
 use crate::format::ReFloatConfig;
-use crate::scalar::{decompose, pow2, quantize_fraction};
-
-/// Statistics of one vector conversion, useful for instrumentation and tests.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ConversionStats {
-    /// Number of elements whose exponent offset saturated (above or below the window).
-    pub saturated: usize,
-    /// Number of elements flushed to zero (only in `FlushToZero` mode).
-    pub flushed: usize,
-    /// Number of nonzero elements converted.
-    pub nonzero: usize,
-}
+pub use crate::scalar::ConversionStats;
+use crate::scalar::Quantizer;
 
 /// Converts solver vectors into ReFloat segment encoding.
 ///
@@ -71,59 +61,15 @@ impl VectorConverter {
             "vector converter: output length mismatch"
         );
         let seg = self.config.block_size();
-        let nseg = x.len().div_ceil(seg);
         self.last_bases.clear();
-        self.last_bases.reserve(nseg);
+        self.last_bases.reserve(x.len().div_ceil(seg));
+        let config = &self.config;
+        let quantizer = Quantizer::new(config.ev, config.fv, config.rounding, config.underflow);
         let mut stats = ConversionStats::default();
-
-        let max_off = self.config.max_offset_vector();
-        let frac_bits = self.config.fv;
-        let rounding = self.config.rounding;
-        let underflow = self.config.underflow;
-
-        for s in 0..nseg {
-            let lo = s * seg;
-            let hi = (lo + seg).min(x.len());
-            let segment = &x[lo..hi];
-            let ebv = optimal_exponent_base(segment.iter());
+        for (segment, out) in x.chunks(seg).zip(out.chunks_mut(seg)) {
+            let ebv = optimal_exponent_base(segment);
             self.last_bases.push(ebv);
-            for (xi, oi) in segment.iter().zip(out[lo..hi].iter_mut()) {
-                match decompose(*xi) {
-                    None => *oi = 0.0,
-                    Some(d) => {
-                        stats.nonzero += 1;
-                        let offset = d.exponent - ebv;
-                        let clamped = if offset > max_off {
-                            stats.saturated += 1;
-                            max_off
-                        } else if offset < -max_off {
-                            match underflow {
-                                crate::format::UnderflowMode::Saturate => {
-                                    stats.saturated += 1;
-                                    -max_off
-                                }
-                                crate::format::UnderflowMode::FlushToZero => {
-                                    stats.flushed += 1;
-                                    *oi = 0.0;
-                                    continue;
-                                }
-                            }
-                        } else {
-                            offset
-                        };
-                        let mut frac = quantize_fraction(d.fraction, frac_bits, rounding);
-                        let mut exp = ebv + clamped;
-                        if frac >= 2.0 {
-                            frac /= 2.0;
-                            if clamped < max_off {
-                                exp += 1;
-                            }
-                        }
-                        let mag = frac * pow2(exp);
-                        *oi = if d.negative { -mag } else { mag };
-                    }
-                }
-            }
+            quantizer.encode_segment(segment, ebv, out, &mut stats);
         }
         self.last_stats = stats;
     }
@@ -198,6 +144,43 @@ mod tests {
         let q = ftz.convert(&x);
         assert_eq!(ftz.last_stats().flushed, 1);
         assert_eq!(q[1], 0.0);
+    }
+
+    fn round_nearest(e: u32, f: u32) -> ReFloatConfig {
+        ReFloatConfig::new(2, e, f, e, f).with_rounding(crate::format::RoundingMode::RoundNearest)
+    }
+
+    #[test]
+    fn round_nearest_carry_at_saturated_offset_clamps_to_max_fraction() {
+        // Each segment's exponents average to a base of 0.  A fraction that rounds up
+        // to 2.0 at the top offset (3 with e = 3), or above the window, cannot carry
+        // into the exponent: it clamps to (2 − 2^−8)·2^3 instead of halving to 2^3.
+        let top = (2.0 - 2.0f64.powi(-8)) * 8.0;
+        let mut conv = VectorConverter::new(round_nearest(3, 8));
+        let at_top = conv.convert(&[(2.0 - 2.0f64.powi(-9)) * 8.0, 0.5, 0.5, 0.5]);
+        assert_eq!((conv.last_bases(), at_top[0]), (&[0][..], top));
+        let above = conv.convert(&[(2.0 - 2.0f64.powi(-9)) * 64.0, 0.25, 0.25, 0.25]);
+        assert_eq!((conv.last_bases(), above[0]), (&[0][..], top));
+        assert_eq!(conv.last_stats().saturated, 1);
+        // f = 0: the only representable fraction is 1.0.
+        let mut conv0 = VectorConverter::new(round_nearest(3, 0));
+        assert_eq!(conv0.convert(&[1.75 * 8.0, 0.5, 0.5, 0.5])[0], 8.0);
+    }
+
+    #[test]
+    fn round_nearest_carry_below_the_window_clamps_at_the_saturation_floor() {
+        // e = 2 (window ±1), f = 0: 1.6·2^−3 saturates to offset −1 and its fraction
+        // rounds to 2.0; it must clamp to 0.5, not renormalize to 2^0.
+        let mut conv = VectorConverter::new(round_nearest(2, 0));
+        let q = conv.convert(&[1.6 * 0.125, 2.0, 2.0, 2.0]);
+        assert_eq!((conv.last_bases(), q[0]), (&[0][..], 0.5));
+        // e = 3, f = 3: 1.99·2^−12 clamps to (2 − 2^−3)·2^(ebv − 3).  With the
+        // segment [1, 1, 1, 1.99·2^−12], ebv = −3 and the result is 0.029296875.
+        let mut conv = VectorConverter::new(round_nearest(3, 3));
+        let q = conv.convert(&[1.99 * 2.0f64.powi(-12), 16.0, 16.0, 16.0]);
+        assert_eq!((conv.last_bases(), q[0]), (&[0][..], 1.875 * 0.125));
+        let q = conv.convert(&[1.0, 1.0, 1.0, 1.99 * 2.0f64.powi(-12)]);
+        assert_eq!((conv.last_bases(), q[3]), (&[-3][..], 0.029296875));
     }
 
     proptest! {

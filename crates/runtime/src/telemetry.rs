@@ -435,9 +435,10 @@ pub struct JobTelemetry {
     pub simulated: SimulatedRun,
     /// Outer-loop details when the job ran in mixed-precision refinement mode (also
     /// populated when an auto-format job fell back to the refinement ladder).
-    pub refinement: Option<RefinementTelemetry>,
+    /// The optional details are boxed so a plain job's row stays small.
+    pub refinement: Option<Box<RefinementTelemetry>>,
     /// Format auto-tuning details when the job ran in auto-format mode.
-    pub autotune: Option<AutotuneTelemetry>,
+    pub autotune: Option<Box<AutotuneTelemetry>>,
     /// ABFT checksum failures detected while solving this job (0 without a fault
     /// model).
     pub faults_detected: u64,
@@ -446,7 +447,7 @@ pub struct JobTelemetry {
     pub fault_retries: u64,
     /// Sequence-step details when the job was submitted through a
     /// [`SolveSequence`](crate::SolveSequence) (`None` for all other jobs).
-    pub sequence: Option<SequenceTelemetry>,
+    pub sequence: Option<Box<SequenceTelemetry>>,
 }
 
 /// Everything [`RuntimeReport::aggregate`] needs besides the telemetry rows: the
@@ -1220,14 +1221,16 @@ mod tests {
             total_s: 3e-6,
             remapped: false,
         };
-        let refinement = refined.then(|| RefinementTelemetry {
-            outer_iterations: 3,
-            inner_iterations: 30,
-            escalations: 1,
-            final_level: "fp64 (exact)".to_string(),
-            fp64_spmvs: 3,
-            final_relative_residual: 1e-13,
-            stalled: false,
+        let refinement = refined.then(|| {
+            Box::new(RefinementTelemetry {
+                outer_iterations: 3,
+                inner_iterations: 30,
+                escalations: 1,
+                final_level: "fp64 (exact)".to_string(),
+                fp64_spmvs: 3,
+                final_relative_residual: 1e-13,
+                stalled: false,
+            })
         });
         JobTelemetry {
             job_id,

@@ -636,9 +636,9 @@ fn run_plain(
     // scratch), while the cache entry is shared and immutable.  Reuse the
     // worker's programmed operator when the key matches — the encode is a pure
     // function of the key, so the content is the same — and otherwise clone the
-    // cached encoding (memcpy cost, not re-encode cost).  Either way the
-    // numerics are bit-identical to the serial path: same `ReFloatMatrix`, same
-    // block order.
+    // cached encoding (the clone shares its blocks and owns only the converter
+    // scratch).  Either way the numerics are bit-identical to the serial path:
+    // same `ReFloatMatrix`, same block order.
     let mut operator = match programmed.take() {
         Some(ProgrammedOp::Whole(held_key, op)) if held_key == key => op,
         _ => (*encoded).clone(),
@@ -1346,11 +1346,11 @@ fn execute_job(
         converged: converged_override
             .unwrap_or_else(|| result.converged() && extra_results.iter().all(|r| r.converged())),
         simulated,
-        refinement,
-        autotune: autotune_tele,
+        refinement: refinement.map(Box::new),
+        autotune: autotune_tele.map(Box::new),
         faults_detected,
         fault_retries,
-        sequence,
+        sequence: sequence.map(Box::new),
     };
     (
         JobOutcome {

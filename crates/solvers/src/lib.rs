@@ -39,7 +39,7 @@ pub use bicgstab::bicgstab;
 pub use cg::{cg, pcg};
 pub use eigs::{EigenConfidence, EigenEstimate};
 pub use jacobi::Equilibration;
-pub use operator::{LinearOperator, OperatorStats};
+pub use operator::LinearOperator;
 pub use refinement::{
     refine, refine_warm, OperatorLadder, PrecisionLadder, RefinementConfig, RefinementPass,
     RefinementResult, RefinementStop,

@@ -113,54 +113,6 @@ impl LinearOperator for BlockedMatrix {
     }
 }
 
-/// Wraps an operator and counts how many times it is applied — the solver-time model
-/// multiplies this count by the per-SpMV latency of each platform.
-pub struct OperatorStats<A> {
-    inner: A,
-    applies: usize,
-}
-
-impl<A: LinearOperator> OperatorStats<A> {
-    /// Wraps `inner` with an application counter starting at zero.
-    pub fn new(inner: A) -> Self {
-        OperatorStats { inner, applies: 0 }
-    }
-
-    /// Number of `apply` calls so far.
-    pub fn applies(&self) -> usize {
-        self.applies
-    }
-
-    /// Consumes the wrapper and returns the inner operator.
-    pub fn into_inner(self) -> A {
-        self.inner
-    }
-
-    /// Borrows the inner operator.
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-}
-
-impl<A: LinearOperator> LinearOperator for OperatorStats<A> {
-    fn nrows(&self) -> usize {
-        self.inner.nrows()
-    }
-
-    fn ncols(&self) -> usize {
-        self.inner.ncols()
-    }
-
-    fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        self.applies += 1;
-        self.inner.apply(x, y);
-    }
-
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-}
-
 /// A diagonal operator, mostly useful in tests (its solves have closed-form answers).
 #[derive(Debug, Clone)]
 pub struct DiagonalOperator {
@@ -232,17 +184,6 @@ mod tests {
         LinearOperator::apply(&mut csr_mut, &[1.0, 2.0, 3.0], &mut y1);
         LinearOperator::apply(&mut blocked, &[1.0, 2.0, 3.0], &mut y2);
         assert_eq!(y1, y2);
-    }
-
-    #[test]
-    fn operator_stats_counts_applications() {
-        let mut wrapped = OperatorStats::new(small_csr());
-        let mut y = vec![0.0; 3];
-        for _ in 0..5 {
-            wrapped.apply(&[1.0, 0.0, 0.0], &mut y);
-        }
-        assert_eq!(wrapped.applies(), 5);
-        assert_eq!(wrapped.nrows(), 3);
     }
 
     #[test]
