@@ -44,7 +44,12 @@ pub fn required_metrics(area: &str) -> Option<&'static [&'static str]> {
             "cancelled_jobs",
             "unattributed_jobs",
         ]),
-        "encode" => Some(&["rows_per_s", "nnz_per_s", "encode_s_total"]),
+        "encode" => Some(&[
+            "rows_per_s",
+            "nnz_per_s",
+            "encode_s_total",
+            "incremental_nnz_per_s",
+        ]),
         "spmv" => Some(&[
             "csr_nnz_per_s",
             "quantized_nnz_per_s",
@@ -126,7 +131,8 @@ mod tests {
         let report = BenchReport::new("encode", "test")
             .metric("rows_per_s", 1.0)
             .metric("nnz_per_s", 2.0)
-            .metric("encode_s_total", 0.5);
+            .metric("encode_s_total", 0.5)
+            .metric("incremental_nnz_per_s", 3.0);
         emit(&report, &dir);
         let text = std::fs::read_to_string(dir.join("BENCH_encode.json")).expect("reads");
         let value: serde::Value = serde_json::from_str(&text).expect("parses");

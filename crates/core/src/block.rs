@@ -47,12 +47,85 @@ where
         .sum()
 }
 
-/// One matrix block encoded in ReFloat format.
+/// The matrix-element quantizer of a format: `e` offset bits and `f` fraction bits.
+pub(crate) fn matrix_quantizer(config: &ReFloatConfig) -> Quantizer {
+    Quantizer::new(config.e, config.f, config.rounding, config.underflow)
+}
+
+/// Encodes one block's values at the exponent base `eb`, in place: each value is
+/// replaced by its decoded value, and its sign, offset and fraction code are written
+/// to the same position of the other slices.  The single per-block encode routine:
+/// [`ReFloatBlock`] and the flat encoding of [`crate::ReFloatMatrix`] both call it.
+pub(crate) fn encode_in_place(
+    quantizer: &Quantizer,
+    eb: i32,
+    values: &mut [f64],
+    signs: &mut [bool],
+    offsets: &mut [i8],
+    fraction_codes: &mut [u32],
+) {
+    let elements = values
+        .iter_mut()
+        .zip(signs.iter_mut())
+        .zip(offsets.iter_mut())
+        .zip(fraction_codes.iter_mut());
+    for (((v, sign), offset), code) in elements {
+        let q = quantizer.encode(*v, eb);
+        *sign = q.negative;
+        *offset = q.offset as i8;
+        *code = q.code;
+        *v = q.value;
+    }
+}
+
+/// One encoded block, borrowed: the block coordinates and base, and the block's
+/// slices of the per-element arrays.
 ///
 /// The encoded fields mirror Fig. 4(b)/Fig. 5: per-element sign, saturating `e`-bit
-/// exponent offset and `f`-bit fraction code, plus the per-block base `eb`.  The decoded
-/// f64 values (`2^eb · (−1)^s · 1.frac · 2^offset`) are cached because the functional
-/// simulator applies blocks many times per solve.
+/// exponent offset and `f`-bit fraction code, plus the per-block base `eb`.  The
+/// decoded f64 values (`2^eb · (−1)^s · 1.frac · 2^offset`) are kept because the
+/// functional simulator applies blocks many times per solve.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BlockView<'a> {
+    /// Block-row index of the block.
+    pub block_row: usize,
+    /// Block-column index of the block.
+    pub block_col: usize,
+    /// The exponent base `eb` shared by every element of the block.
+    pub eb: i32,
+    /// Local row index (`ii`) per element.
+    pub rows: &'a [u16],
+    /// Local column index (`jj`) per element.
+    pub cols: &'a [u16],
+    /// Sign bit per element (`true` = negative).
+    pub signs: &'a [bool],
+    /// Saturated exponent offset per element (fits in `e` bits by construction).
+    pub offsets: &'a [i8],
+    /// Fraction code per element: the retained `f` bits as an integer in `[0, 2^f)`.
+    pub fraction_codes: &'a [u32],
+    /// Decoded values (what the crossbars effectively compute with).
+    pub decoded: &'a [f64],
+}
+
+impl<'a> BlockView<'a> {
+    /// Number of encoded elements.
+    pub fn nnz(&self) -> usize {
+        self.decoded.len()
+    }
+
+    /// Iterates over `(ii, jj, decoded_value)`.
+    pub fn iter_decoded(&self) -> impl Iterator<Item = (u16, u16, f64)> + 'a {
+        self.rows
+            .iter()
+            .zip(self.cols)
+            .zip(self.decoded)
+            .map(|((&r, &c), &v)| (r, c, v))
+    }
+}
+
+/// One matrix block encoded in ReFloat format, owning its arrays: the single-block
+/// codec the crossbar engine and the format ablation use.  A whole matrix stores its
+/// blocks flat instead ([`crate::ReFloatMatrix::blocks`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReFloatBlock {
     /// Block-row index of the block.
@@ -86,19 +159,18 @@ impl ReFloatBlock {
     /// that compares the Eq. 5 optimum against naive base choices).
     pub fn encode_with_base(block: &Block, config: &ReFloatConfig, eb: i32) -> Self {
         let n = block.vals.len();
-        let mut signs = Vec::with_capacity(n);
-        let mut offsets = Vec::with_capacity(n);
-        let mut fraction_codes = Vec::with_capacity(n);
-        let mut decoded = Vec::with_capacity(n);
-        let quantizer = Quantizer::new(config.e, config.f, config.rounding, config.underflow);
-        for &v in &block.vals {
-            let q = quantizer.encode(v, eb);
-            signs.push(q.negative);
-            offsets.push(q.offset as i8);
-            fraction_codes.push(q.code);
-            decoded.push(q.value);
-        }
-
+        let mut decoded = block.vals.clone();
+        let mut signs = vec![false; n];
+        let mut offsets = vec![0; n];
+        let mut fraction_codes = vec![0; n];
+        encode_in_place(
+            &matrix_quantizer(config),
+            eb,
+            &mut decoded,
+            &mut signs,
+            &mut offsets,
+            &mut fraction_codes,
+        );
         ReFloatBlock {
             block_row: block.block_row,
             block_col: block.block_col,
@@ -148,12 +220,10 @@ impl ReFloatBlock {
             .fold(0.0, f64::max)
     }
 
-    /// Number of storage bits for this block under the Fig. 4 accounting:
-    /// per element `2b` local-index bits plus `1 + e + f` value bits, plus the per-block
-    /// metadata (two `(32 − b)`-bit block coordinates and the 11-bit `eb`).
+    /// Number of storage bits for this block under the Fig. 4 accounting
+    /// ([`crate::memory::encoded_storage_bits`] for one block).
     pub fn storage_bits(&self, config: &ReFloatConfig) -> u64 {
-        let per_element = (config.local_index_bits() + config.matrix_value_bits()) as u64;
-        per_element * self.nnz() as u64 + config.block_metadata_bits() as u64
+        crate::memory::encoded_storage_bits(self.nnz(), 1, config)
     }
 }
 

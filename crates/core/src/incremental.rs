@@ -8,22 +8,31 @@
 //! the previous step block by block:
 //!
 //! * **clean** blocks (identical structure and bitwise-identical values) reuse the
-//!   previous encoding outright — zero quantization work, zero reprogramming;
+//!   previous encoding outright — their slices of the flat arrays are copied, zero
+//!   quantization work, zero reprogramming;
 //! * **dirty** blocks are re-encoded; when the fresh Eq. 5 exponent base equals the
 //!   previous one, the changed values stayed inside the block's offset window and only
 //!   the *changed* crossbar cells need reprogramming (a partial write);
 //! * blocks whose base moved — or that are new — shift every element's offset/code,
 //!   so the whole cluster is rewritten.
 //!
-//! Because [`ReFloatBlock::encode`] is a pure function of the block's values and the
-//! format, reusing a clean block's encoding is *bitwise identical* to re-encoding it;
-//! the incremental result therefore equals a from-scratch encode of the new matrix,
+//! When the sparsity structure is unchanged (every step of a fixed-mesh chain), the
+//! new matrix has the predecessor's block layout, so the diff is one bitwise
+//! comparison of the two value arrays in CSR order: the predecessor's arrays are
+//! copied whole and only the dirty blocks are gathered and encoded again.  When the
+//! structure changed, both matrices are laid out in blocks and their block keys are
+//! merge-walked.
+//!
+//! Because a block's encoding is a pure function of its values and the format,
+//! reusing a clean block's encoding is *bitwise identical* to re-encoding it; the
+//! incremental result therefore equals a from-scratch encode of the new matrix,
 //! block for block, bit for bit.  Tests enforce this across perturbation magnitudes
-//! up to the all-blocks-dirty worst case.
+//! up to the all-blocks-dirty worst case, and across structure changes.
 
-use crate::block::ReFloatBlock;
-use crate::matrix::ReFloatMatrix;
-use refloat_sparse::{blocked::Block, BlockedMatrix, CsrMatrix};
+use crate::block::{matrix_quantizer, BlockView};
+use crate::matrix::{Encoding, ReFloatMatrix};
+use crate::scalar::Quantizer;
+use refloat_sparse::CsrMatrix;
 
 /// What the delta re-encode touched, in blocks and crossbar cells.
 ///
@@ -35,7 +44,7 @@ use refloat_sparse::{blocked::Block, BlockedMatrix, CsrMatrix};
 pub struct IncrementalStats {
     /// Non-empty blocks in the new matrix.
     pub blocks_total: usize,
-    /// Blocks bitwise-unchanged from the previous step (encoding cloned, no write).
+    /// Blocks bitwise-unchanged from the previous step (encoding copied, no write).
     pub blocks_reused: usize,
     /// Dirty blocks whose exponent base survived: only changed cells rewritten.
     pub blocks_partial: usize,
@@ -88,24 +97,22 @@ pub struct IncrementalEncode {
 /// `true` when two raw blocks hold the same entries at the same positions with
 /// bitwise-identical values (`f64::to_bits`, so `-0.0 ≠ 0.0` and NaNs never match —
 /// strictly conservative: a mismatch only ever costs a redundant re-encode).
-fn blocks_bitwise_equal(a: &Block, b: &Block) -> bool {
-    a.rows == b.rows
-        && a.cols == b.cols
-        && a.vals.len() == b.vals.len()
-        && a.vals
-            .iter()
-            .zip(b.vals.iter())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
+fn blocks_bitwise_equal(a: &BlockView<'_>, b: &BlockView<'_>) -> bool {
+    a.rows == b.rows && a.cols == b.cols && bits_equal(a.decoded, b.decoded)
 }
 
-/// Counts entries that differ between two sorted blocks (changed values, plus entries
-/// present in only one of them).  Both blocks come from `BlockedMatrix::from_csr`, so
+fn bits_equal(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Counts entries that differ between two raw blocks (changed values, plus entries
+/// present in only one of them).  Both are laid out by [`Encoding::layout`], so
 /// their entries are sorted by `(ii, jj)`.
-fn changed_cells(prev: &Block, next: &Block) -> u64 {
+fn changed_cells(prev: &BlockView<'_>, next: &BlockView<'_>) -> u64 {
     let mut i = 0;
     let mut j = 0;
     let mut changed = 0u64;
-    while i < prev.vals.len() && j < next.vals.len() {
+    while i < prev.nnz() && j < next.nnz() {
         let pk = (prev.rows[i], prev.cols[i]);
         let nk = (next.rows[j], next.cols[j]);
         match pk.cmp(&nk) {
@@ -118,7 +125,7 @@ fn changed_cells(prev: &Block, next: &Block) -> u64 {
                 j += 1;
             }
             std::cmp::Ordering::Equal => {
-                if prev.vals[i].to_bits() != next.vals[j].to_bits() {
+                if prev.decoded[i].to_bits() != next.decoded[j].to_bits() {
                     changed += 1;
                 }
                 i += 1;
@@ -126,8 +133,11 @@ fn changed_cells(prev: &Block, next: &Block) -> u64 {
             }
         }
     }
-    changed + (prev.vals.len() - i) as u64 + (next.vals.len() - j) as u64
+    changed + (prev.nnz() - i) as u64 + (next.nnz() - j) as u64
 }
+
+const NOT_THE_SOURCE: &str =
+    "reencode_incremental: previous_source is not the source of the previous encoding";
 
 /// Re-encodes `a` by diffing against the previous step's encoding.
 ///
@@ -138,9 +148,9 @@ fn changed_cells(prev: &Block, next: &Block) -> u64 {
 /// how little work that took.
 ///
 /// # Panics
-/// Panics if the three matrices disagree on dimensions, or if `previous_source` does
-/// not re-encode to `previous`'s block set (i.e. it is not actually the predecessor's
-/// source).
+/// Panics if the three matrices disagree on dimensions, or if `previous_source`
+/// visibly is not the predecessor's source (its entry or block counts do not match
+/// `previous`'s).
 pub fn reencode_incremental(
     previous: &ReFloatMatrix,
     previous_source: &CsrMatrix,
@@ -152,82 +162,169 @@ pub fn reencode_incremental(
         (a.nrows(), a.ncols()),
         "reencode_incremental: matrix dimensions changed between steps"
     );
-
-    let prev_blocked = BlockedMatrix::from_csr(previous_source, config.b)
-        .expect("valid block exponent from a validated ReFloatConfig");
-    let next_blocked = BlockedMatrix::from_csr(a, config.b)
-        .expect("valid block exponent from a validated ReFloatConfig");
-    let prev_encoded = previous.blocks();
+    let prev = previous.encoding();
     assert_eq!(
-        prev_blocked.num_blocks(),
-        prev_encoded.len(),
-        "reencode_incremental: previous_source is not the source of the previous encoding"
+        prev.decoded.len(),
+        previous_source.nnz(),
+        "{NOT_THE_SOURCE}"
     );
+    let quantizer = matrix_quantizer(&config);
+    let (encoding, stats) =
+        if previous_source.row_ptr() == a.row_ptr() && previous_source.col_idx() == a.col_idx() {
+            reencode_same_structure(prev, previous_source.values(), a, config.b, &quantizer)
+        } else {
+            reencode_restructured(prev, previous_source, a, config.b, &quantizer)
+        };
+    IncrementalEncode {
+        matrix: ReFloatMatrix::from_encoding(a.nrows(), a.ncols(), config, encoding),
+        stats,
+    }
+}
 
-    let prev_blocks = prev_blocked.blocks();
-    let next_blocks = next_blocked.blocks();
+/// The delta accounting of one re-encoded block: partial when the base survived
+/// (only the `changed` cells are rewritten), full otherwise.
+fn charge_reencoded(stats: &mut IncrementalStats, same_base: bool, changed: u64, nnz: usize) {
+    if same_base {
+        stats.blocks_partial += 1;
+        stats.cells_reprogrammed += changed;
+    } else {
+        stats.blocks_full += 1;
+        stats.cells_reprogrammed += nnz as u64;
+    }
+}
+
+/// The fast path: `a` has `prev`'s structure, hence its layout.  Compares the values
+/// in CSR order per block-row, copies `prev` whole, and gathers and encodes only the
+/// dirty blocks.
+fn reencode_same_structure(
+    prev: &Encoding,
+    old_vals: &[f64],
+    a: &CsrMatrix,
+    b: u32,
+    quantizer: &Quantizer,
+) -> (Encoding, IncrementalStats) {
+    let (row_ptr, col_idx, vals) = (a.row_ptr(), a.col_idx(), a.values());
+    let mut enc = prev.clone();
     let mut stats = IncrementalStats {
-        blocks_total: next_blocks.len(),
+        blocks_total: enc.blocks.len(),
+        cells_total: vals.len() as u64,
         ..IncrementalStats::default()
     };
-    let mut encoded = Vec::with_capacity(next_blocks.len());
+    // The block of each block column in the current block-row, the changed cells
+    // per block, and the gather cursor per block of the current block-row.
+    let mut slot = vec![usize::MAX; a.ncols().div_ceil(1 << b)];
+    let mut changed = vec![0u64; enc.blocks.len()];
+    let mut cursor = Vec::new();
+    let mut first = 0;
+    while first < enc.blocks.len() {
+        let brow = enc.blocks[first].block_row;
+        let end = first
+            + enc.blocks[first..]
+                .iter()
+                .take_while(|blk| blk.block_row == brow)
+                .count();
+        let (lo, hi) = (
+            row_ptr[brow << b],
+            row_ptr[((brow + 1) << b).min(a.nrows())],
+        );
+        assert!(
+            enc.blocks[first].start == lo && enc.range(end - 1).end == hi,
+            "{NOT_THE_SOURCE}"
+        );
+        let k_blocks = first..end;
+        first = end;
+        if bits_equal(&old_vals[lo..hi], &vals[lo..hi]) {
+            stats.blocks_reused += k_blocks.len();
+            continue;
+        }
+        for k in k_blocks.clone() {
+            slot[enc.blocks[k].block_col] = k;
+        }
+        let block_of = |c: usize| {
+            let k = slot[c >> b];
+            assert!(k_blocks.contains(&k), "{NOT_THE_SOURCE}");
+            k
+        };
+        for i in lo..hi {
+            if old_vals[i].to_bits() != vals[i].to_bits() {
+                changed[block_of(col_idx[i])] += 1;
+            }
+        }
+        // Gather the dirty blocks' new values: a block-row's entries reach their
+        // block in CSR order, the order the layout placed them in.
+        cursor.clear();
+        cursor.extend(k_blocks.clone().map(|k| enc.blocks[k].start));
+        for i in lo..hi {
+            let k = block_of(col_idx[i]);
+            let at = &mut cursor[k - k_blocks.start];
+            if changed[k] > 0 {
+                enc.decoded[*at] = vals[i];
+            }
+            *at += 1;
+        }
+        for k in k_blocks.clone() {
+            slot[enc.blocks[k].block_col] = usize::MAX;
+            if changed[k] == 0 {
+                stats.blocks_reused += 1;
+                continue;
+            }
+            enc.encode_block(k, quantizer);
+            let same_base = enc.blocks[k].eb == prev.blocks[k].eb;
+            charge_reencoded(&mut stats, same_base, changed[k], enc.range(k).len());
+        }
+    }
+    (enc, stats)
+}
 
-    // Both block lists are sorted by (block_row, block_col): merge-walk them.
-    let mut p = 0;
-    for next in next_blocks {
-        let key = (next.block_row, next.block_col);
-        while p < prev_blocks.len() && (prev_blocks[p].block_row, prev_blocks[p].block_col) < key {
+/// The structure changed: lays out both matrices and merge-walks their block keys
+/// (both tables are sorted by `(block_row, block_col)`).
+fn reencode_restructured(
+    prev: &Encoding,
+    previous_source: &CsrMatrix,
+    a: &CsrMatrix,
+    b: u32,
+    quantizer: &Quantizer,
+) -> (Encoding, IncrementalStats) {
+    let old = Encoding::layout(previous_source, b);
+    assert_eq!(old.blocks.len(), prev.blocks.len(), "{NOT_THE_SOURCE}");
+    let mut enc = Encoding::layout(a, b);
+    let mut stats = IncrementalStats {
+        blocks_total: enc.blocks.len(),
+        cells_total: enc.decoded.len() as u64,
+        ..IncrementalStats::default()
+    };
+    let vanish_below = |stats: &mut IncrementalStats, p: &mut usize, key| {
+        while *p < old.blocks.len() && old.blocks[*p].key() < key {
             // A block that existed last step has no entries any more: clear its cells.
             stats.blocks_vanished += 1;
-            stats.cells_reprogrammed += prev_blocks[p].nnz() as u64;
-            p += 1;
+            stats.cells_reprogrammed += old.range(*p).len() as u64;
+            *p += 1;
         }
-        stats.cells_total += next.nnz() as u64;
-        let prev_match = (p < prev_blocks.len()
-            && (prev_blocks[p].block_row, prev_blocks[p].block_col) == key)
-            .then(|| {
-                let m = (&prev_blocks[p], &prev_encoded[p]);
-                p += 1;
-                m
-            });
-        match prev_match {
-            Some((prev_raw, prev_enc)) if blocks_bitwise_equal(prev_raw, next) => {
+    };
+    let mut p = 0;
+    for k in 0..enc.blocks.len() {
+        vanish_below(&mut stats, &mut p, enc.blocks[k].key());
+        if p < old.blocks.len() && old.blocks[p].key() == enc.blocks[k].key() {
+            let (was, now) = (old.view(p), enc.view(k));
+            if blocks_bitwise_equal(&was, &now) {
                 // Clean: the encoding is a pure function of (values, config), so the
                 // previous block *is* the from-scratch encoding of this block.
                 stats.blocks_reused += 1;
-                encoded.push(prev_enc.clone());
+                enc.copy_block(k, prev, p);
+            } else {
+                let changed = changed_cells(&was, &now);
+                enc.encode_block(k, quantizer);
+                let same_base = enc.blocks[k].eb == prev.blocks[p].eb;
+                charge_reencoded(&mut stats, same_base, changed, enc.range(k).len());
             }
-            Some((prev_raw, prev_enc)) => {
-                let fresh = ReFloatBlock::encode(next, &config);
-                if fresh.eb == prev_enc.eb {
-                    // Values moved but stayed inside the block's offset window: only
-                    // the changed cells need new device writes.
-                    stats.blocks_partial += 1;
-                    stats.cells_reprogrammed += changed_cells(prev_raw, next);
-                } else {
-                    stats.blocks_full += 1;
-                    stats.cells_reprogrammed += fresh.nnz() as u64;
-                }
-                encoded.push(fresh);
-            }
-            None => {
-                let fresh = ReFloatBlock::encode(next, &config);
-                stats.blocks_full += 1;
-                stats.cells_reprogrammed += fresh.nnz() as u64;
-                encoded.push(fresh);
-            }
+            p += 1;
+        } else {
+            enc.encode_block(k, quantizer);
+            charge_reencoded(&mut stats, false, 0, enc.range(k).len());
         }
     }
-    while p < prev_blocks.len() {
-        stats.blocks_vanished += 1;
-        stats.cells_reprogrammed += prev_blocks[p].nnz() as u64;
-        p += 1;
-    }
-
-    IncrementalEncode {
-        matrix: ReFloatMatrix::from_parts(a.nrows(), a.ncols(), config, encoded),
-        stats,
-    }
+    vanish_below(&mut stats, &mut p, (usize::MAX, usize::MAX));
+    (enc, stats)
 }
 
 /// Asserts that two encoded matrices are bitwise identical, block for block — the
@@ -242,7 +339,7 @@ pub fn assert_bitwise_identical(incremental: &ReFloatMatrix, scratch: &ReFloatMa
         scratch.num_blocks(),
         "encodings disagree on block count"
     );
-    for (inc, full) in incremental.blocks().iter().zip(scratch.blocks().iter()) {
+    for (inc, full) in incremental.blocks().zip(scratch.blocks()) {
         assert_eq!(
             (inc.block_row, inc.block_col),
             (full.block_row, full.block_col),
@@ -254,12 +351,7 @@ pub fn assert_bitwise_identical(incremental: &ReFloatMatrix, scratch: &ReFloatMa
             && inc.signs == full.signs
             && inc.offsets == full.offsets
             && inc.fraction_codes == full.fraction_codes
-            && inc.decoded.len() == full.decoded.len()
-            && inc
-                .decoded
-                .iter()
-                .zip(full.decoded.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
+            && bits_equal(inc.decoded, full.decoded);
         assert!(
             same,
             "block ({}, {}) differs between incremental and from-scratch encode",

@@ -23,9 +23,13 @@
 //!
 //! * [`scalar`] — bit-exact decomposition of a single f64 value and the bit-level
 //!   conversion kernel ([`scalar::Quantizer`]) every encoder and converter calls,
-//! * [`block`] — per-block base selection and encoding ([`ReFloatBlock`]),
+//! * [`block`] — per-block base selection and encoding: [`BlockView`], one block
+//!   borrowed from a matrix, and [`ReFloatBlock`], the owned single-block codec,
 //! * [`vector`] — the vector converter ([`vector::VectorConverter`]),
 //! * [`matrix`] — [`ReFloatMatrix`], the quantized operator that plugs into the solvers,
+//!   stored as one flat struct-of-arrays encoding built from CSR in one pass,
+//! * [`incremental`] — re-encoding a matrix against its predecessor's encoding,
+//!   bitwise identical to encoding from scratch,
 //! * [`sharded`] — [`ShardedReFloatMatrix`], the operator partitioned into block-row
 //!   shards (one per chip of a multi-chip accelerator), bitwise identical to the
 //!   unsharded operator for every shard count,
@@ -49,6 +53,8 @@
 
 pub mod autotune;
 pub mod block;
+#[cfg(test)]
+mod encode_oracle;
 pub mod escalation;
 pub mod feinberg;
 pub mod format;
@@ -66,7 +72,7 @@ pub mod truncate;
 pub mod vector;
 
 pub use autotune::{AutotuneConfig, FormatCandidate, FormatDecision, FormatPlan};
-pub use block::ReFloatBlock;
+pub use block::{BlockView, ReFloatBlock};
 pub use escalation::EscalationPolicy;
 pub use format::{ReFloatConfig, RoundingMode, UnderflowMode};
 pub use incremental::{

@@ -10,14 +10,211 @@
 //! crossbars compute the fixed-point products of the encoded fractions exactly
 //! (verified against [`ReFloatMatrix::apply`] by the crossbar simulator in `reram-sim`),
 //! and the final scaling by `2^{eb+ebv}` is a pure exponent addition.
+//!
+//! # Layout
+//!
+//! The encoding is one struct of arrays shared by every clone of the operator: a
+//! block table (block coordinates, base `eb`, first element) and per-element arrays
+//! (local row and column, sign, offset, fraction code, decoded value).  Elements are
+//! block-row-major, block columns ascending, row-major within a block — the
+//! block-major layout of Fig. 7 — so an apply walks one contiguous array.
+//! [`ReFloatMatrix::from_csr`] builds it in one pass per block-row (count the entries
+//! per block column, assign starts, scatter), then encodes each block in place.
+//! [`ReFloatMatrix::blocks`] and [`ReFloatMatrix::block`] read it as [`BlockView`]s.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use crate::block::ReFloatBlock;
+use crate::block::{encode_in_place, matrix_quantizer, optimal_exponent_base, BlockView};
 use crate::format::ReFloatConfig;
+use crate::scalar::Quantizer;
 use crate::vector::VectorConverter;
 use refloat_solvers::LinearOperator;
 use refloat_sparse::{BlockedMatrix, CsrMatrix};
+
+/// One row of the block table: where a block sits, its base and its first element.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BlockEntry {
+    pub block_row: usize,
+    pub block_col: usize,
+    pub eb: i32,
+    /// Index of the block's first element in the per-element arrays.
+    pub start: usize,
+}
+
+impl BlockEntry {
+    /// The block-row-major sort key.
+    pub fn key(&self) -> (usize, usize) {
+        (self.block_row, self.block_col)
+    }
+}
+
+/// A matrix's ReFloat encoding as one struct of arrays.
+///
+/// The block table lists the non-empty blocks block-row-major, block columns
+/// ascending; block `k` owns elements `range(k)` of the per-element arrays, row-major
+/// within the block and in CSR order within a row.  So the elements of one block-row
+/// fill exactly that block-row's CSR index range, permuted.
+#[derive(Debug, Clone)]
+pub(crate) struct Encoding {
+    pub blocks: Vec<BlockEntry>,
+    pub rows: Vec<u16>,
+    pub cols: Vec<u16>,
+    pub signs: Vec<bool>,
+    pub offsets: Vec<i8>,
+    pub fraction_codes: Vec<u32>,
+    /// Decoded values; raw values between [`layout`](Self::layout) and
+    /// [`encode_block`](Self::encode_block).
+    pub decoded: Vec<f64>,
+}
+
+impl Encoding {
+    /// Lays `a` out in `2^b × 2^b` blocks in one pass per block-row: count the
+    /// entries per block column, assign each block its start, and scatter.  The
+    /// block table and local indices are final; `decoded` holds the raw values and
+    /// every base is 0 until the blocks are encoded.
+    pub fn layout(a: &CsrMatrix, b: u32) -> Self {
+        let (row_ptr, col_idx, vals) = (a.row_ptr(), a.col_idx(), a.values());
+        let nnz = vals.len();
+        let mask = (1usize << b) - 1;
+        let mut enc = Encoding {
+            blocks: Vec::new(),
+            rows: vec![0; nnz],
+            cols: vec![0; nnz],
+            signs: vec![false; nnz],
+            offsets: vec![0; nnz],
+            fraction_codes: vec![0; nnz],
+            decoded: vec![0.0; nnz],
+        };
+        // Per block column: the entry count while counting, then the scatter cursor.
+        let mut slot = vec![0usize; a.ncols().div_ceil(1 << b)];
+        let mut present: Vec<usize> = Vec::new();
+        for brow in 0..a.nrows().div_ceil(1 << b) {
+            let row_lo = brow << b;
+            let row_hi = (row_lo + (1 << b)).min(a.nrows());
+            let (lo, hi) = (row_ptr[row_lo], row_ptr[row_hi]);
+            for &c in &col_idx[lo..hi] {
+                if slot[c >> b] == 0 {
+                    present.push(c >> b);
+                }
+                slot[c >> b] += 1;
+            }
+            present.sort_unstable();
+            let mut start = lo;
+            for &bcol in &present {
+                enc.blocks.push(BlockEntry {
+                    block_row: brow,
+                    block_col: bcol,
+                    eb: 0,
+                    start,
+                });
+                start += std::mem::replace(&mut slot[bcol], start);
+            }
+            for r in row_lo..row_hi {
+                for i in row_ptr[r]..row_ptr[r + 1] {
+                    let c = col_idx[i];
+                    let at = slot[c >> b];
+                    slot[c >> b] += 1;
+                    enc.rows[at] = (r - row_lo) as u16;
+                    enc.cols[at] = (c & mask) as u16;
+                    enc.decoded[at] = vals[i];
+                }
+            }
+            for &bcol in &present {
+                slot[bcol] = 0;
+            }
+            present.clear();
+        }
+        enc
+    }
+
+    /// Lays a blocked matrix out flat, keeping its block and element order.
+    fn from_blocked(blocked: &BlockedMatrix) -> Self {
+        let nnz = blocked.nnz();
+        let mut enc = Encoding {
+            blocks: Vec::with_capacity(blocked.num_blocks()),
+            rows: Vec::with_capacity(nnz),
+            cols: Vec::with_capacity(nnz),
+            signs: vec![false; nnz],
+            offsets: vec![0; nnz],
+            fraction_codes: vec![0; nnz],
+            decoded: Vec::with_capacity(nnz),
+        };
+        for blk in blocked.blocks() {
+            enc.blocks.push(BlockEntry {
+                block_row: blk.block_row,
+                block_col: blk.block_col,
+                eb: 0,
+                start: enc.decoded.len(),
+            });
+            enc.rows.extend_from_slice(&blk.rows);
+            enc.cols.extend_from_slice(&blk.cols);
+            enc.decoded.extend_from_slice(&blk.vals);
+        }
+        enc
+    }
+
+    /// Element index range of block `k`.
+    pub fn range(&self, k: usize) -> Range<usize> {
+        let end = self
+            .blocks
+            .get(k + 1)
+            .map_or(self.decoded.len(), |next| next.start);
+        self.blocks[k].start..end
+    }
+
+    /// Encodes block `k`, whose `decoded` slots hold raw values, in place at its
+    /// Eq. 5 base.
+    pub fn encode_block(&mut self, k: usize, quantizer: &Quantizer) {
+        let r = self.range(k);
+        let eb = optimal_exponent_base(self.decoded[r.clone()].iter());
+        self.blocks[k].eb = eb;
+        encode_in_place(
+            quantizer,
+            eb,
+            &mut self.decoded[r.clone()],
+            &mut self.signs[r.clone()],
+            &mut self.offsets[r.clone()],
+            &mut self.fraction_codes[r],
+        );
+    }
+
+    /// Encodes every block in place.
+    fn encode_all(&mut self, config: &ReFloatConfig) {
+        let quantizer = matrix_quantizer(config);
+        for k in 0..self.blocks.len() {
+            self.encode_block(k, &quantizer);
+        }
+    }
+
+    /// Copies the encoded values of block `j` of `from`, which holds the same
+    /// elements, into block `k`.
+    pub fn copy_block(&mut self, k: usize, from: &Encoding, j: usize) {
+        let (r, src) = (self.range(k), from.range(j));
+        self.blocks[k].eb = from.blocks[j].eb;
+        self.signs[r.clone()].copy_from_slice(&from.signs[src.clone()]);
+        self.offsets[r.clone()].copy_from_slice(&from.offsets[src.clone()]);
+        self.fraction_codes[r.clone()].copy_from_slice(&from.fraction_codes[src.clone()]);
+        self.decoded[r].copy_from_slice(&from.decoded[src]);
+    }
+
+    /// Block `k` as a view.
+    pub fn view(&self, k: usize) -> BlockView<'_> {
+        let r = self.range(k);
+        let entry = self.blocks[k];
+        BlockView {
+            block_row: entry.block_row,
+            block_col: entry.block_col,
+            eb: entry.eb,
+            rows: &self.rows[r.clone()],
+            cols: &self.cols[r.clone()],
+            signs: &self.signs[r.clone()],
+            offsets: &self.offsets[r.clone()],
+            fraction_codes: &self.fraction_codes[r.clone()],
+            decoded: &self.decoded[r],
+        }
+    }
+}
 
 /// A sparse matrix encoded block-by-block in ReFloat format, usable as a solver operator.
 #[derive(Debug, Clone)]
@@ -25,9 +222,9 @@ pub struct ReFloatMatrix {
     nrows: usize,
     ncols: usize,
     config: ReFloatConfig,
-    /// The encoded blocks, immutable once built: clones (a solver takes one per
-    /// solve, since applying mutates the converter scratch) share them.
-    blocks: Arc<[ReFloatBlock]>,
+    /// The encoding, immutable once built: clones (a solver takes one per solve,
+    /// since applying mutates the converter scratch) share it.
+    encoding: Arc<Encoding>,
     converter: VectorConverter,
     /// Scratch buffer holding the quantized input vector (reused across applies).
     quantized_input: Vec<f64>,
@@ -37,7 +234,7 @@ pub struct ReFloatMatrix {
 }
 
 impl ReFloatMatrix {
-    /// Encodes a blocked matrix into ReFloat format.
+    /// Encodes a blocked matrix into ReFloat format, keeping its block order.
     pub fn from_blocked(blocked: &BlockedMatrix, config: ReFloatConfig) -> Self {
         assert_eq!(
             blocked.b(),
@@ -46,38 +243,35 @@ impl ReFloatMatrix {
             blocked.b(),
             config.b
         );
-        let blocks = blocked
-            .blocks()
-            .iter()
-            .map(|blk| ReFloatBlock::encode(blk, &config))
-            .collect();
-        Self::from_parts(blocked.nrows(), blocked.ncols(), config, blocks)
+        let mut encoding = Encoding::from_blocked(blocked);
+        encoding.encode_all(&config);
+        Self::from_encoding(blocked.nrows(), blocked.ncols(), config, encoding)
     }
 
-    /// Assembles a matrix from already-encoded blocks (block-row-major order), used by
-    /// [`crate::incremental`] to stitch reused and re-encoded blocks together.
-    pub(crate) fn from_parts(
+    /// Wraps a finished encoding; [`crate::incremental`] assembles them too.
+    pub(crate) fn from_encoding(
         nrows: usize,
         ncols: usize,
         config: ReFloatConfig,
-        blocks: Vec<ReFloatBlock>,
+        encoding: Encoding,
     ) -> Self {
         ReFloatMatrix {
             nrows,
             ncols,
             config,
-            blocks: blocks.into(),
+            encoding: Arc::new(encoding),
             converter: VectorConverter::new(config),
             quantized_input: vec![0.0; ncols],
             quantize_vectors: true,
         }
     }
 
-    /// Convenience: blocks a CSR matrix with the configuration's `b` and encodes it.
+    /// Encodes a CSR matrix in `2^b × 2^b` blocks of the configuration's `b`, in one
+    /// pass into flat arrays.
     pub fn from_csr(a: &CsrMatrix, config: ReFloatConfig) -> Self {
-        let blocked = BlockedMatrix::from_csr(a, config.b)
-            .expect("valid block exponent from a validated ReFloatConfig");
-        Self::from_blocked(&blocked, config)
+        let mut encoding = Encoding::layout(a, config.b);
+        encoding.encode_all(&config);
+        Self::from_encoding(a.nrows(), a.ncols(), config, encoding)
     }
 
     /// The format configuration.
@@ -85,19 +279,31 @@ impl ReFloatMatrix {
         &self.config
     }
 
-    /// The encoded blocks.
-    pub fn blocks(&self) -> &[ReFloatBlock] {
-        &self.blocks
+    pub(crate) fn encoding(&self) -> &Encoding {
+        &self.encoding
+    }
+
+    /// The encoded blocks in block-row-major order, as views.
+    pub fn blocks(&self) -> impl ExactSizeIterator<Item = BlockView<'_>> + '_ {
+        (0..self.num_blocks()).map(|k| self.encoding.view(k))
+    }
+
+    /// Encoded block `k` (block-row-major order).
+    ///
+    /// # Panics
+    /// Panics if `k >= self.num_blocks()`.
+    pub fn block(&self, k: usize) -> BlockView<'_> {
+        self.encoding.view(k)
     }
 
     /// Number of non-empty blocks (= crossbar clusters required per SpMV).
     pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
+        self.encoding.blocks.len()
     }
 
     /// Total number of encoded non-zeros.
     pub fn nnz(&self) -> usize {
-        self.blocks.iter().map(ReFloatBlock::nnz).sum()
+        self.encoding.decoded.len()
     }
 
     /// Disables (or re-enables) the per-iteration vector re-encoding.  With vector
@@ -117,7 +323,7 @@ impl ReFloatMatrix {
     pub fn to_quantized_csr(&self) -> CsrMatrix {
         let mut coo = refloat_sparse::CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz());
         let bs = self.config.block_size();
-        for blk in self.blocks.iter() {
+        for blk in self.blocks() {
             let row0 = blk.block_row * bs;
             let col0 = blk.block_col * bs;
             for (ii, jj, v) in blk.iter_decoded() {
@@ -131,23 +337,24 @@ impl ReFloatMatrix {
 
     /// Total storage bits of the encoded matrix under the Fig. 4 accounting.
     pub fn storage_bits(&self) -> u64 {
-        self.blocks
-            .iter()
-            .map(|b| b.storage_bits(&self.config))
-            .sum()
+        crate::memory::encoded_storage_bits(self.nnz(), self.num_blocks(), &self.config)
     }
 
     /// The blocked SpMV of Eq. 8–9 on the already-quantized input held in
     /// `self.quantized_input`.
     fn blocked_spmv(&self, x: &[f64], y: &mut [f64]) {
-        for yi in y.iter_mut() {
-            *yi = 0.0;
-        }
+        y.fill(0.0);
         let bs = self.config.block_size();
-        for blk in self.blocks.iter() {
+        let enc = &*self.encoding;
+        for (k, blk) in enc.blocks.iter().enumerate() {
             let row0 = blk.block_row * bs;
             let col0 = blk.block_col * bs;
-            for (ii, jj, v) in blk.iter_decoded() {
+            let r = enc.range(k);
+            let elements = enc.rows[r.clone()]
+                .iter()
+                .zip(&enc.cols[r.clone()])
+                .zip(&enc.decoded[r]);
+            for ((&ii, &jj), &v) in elements {
                 y[row0 + ii as usize] += v * x[col0 + jj as usize];
             }
         }

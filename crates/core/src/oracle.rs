@@ -161,7 +161,7 @@ fn reference_encode(
     encoded
 }
 
-fn bits(values: &[f64]) -> Vec<u64> {
+pub(crate) fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
@@ -178,7 +178,7 @@ fn block_of(vals: &[f64]) -> Block {
 /// Inputs that exercise every branch of the kernel: signed zeros, subnormals,
 /// non-finite values, the extremes of the normal range, arbitrary bit patterns, and
 /// values straddling a window around 1.
-fn any_input() -> impl Strategy<Value = f64> {
+pub(crate) fn any_input() -> impl Strategy<Value = f64> {
     prop_oneof![
         prop_oneof![
             Just(0.0),
@@ -206,7 +206,7 @@ fn any_input() -> impl Strategy<Value = f64> {
     ]
 }
 
-fn any_config() -> impl Strategy<Value = ReFloatConfig> {
+pub(crate) fn any_config() -> impl Strategy<Value = ReFloatConfig> {
     (
         (1u32..=3, 0u32..=11, 0u32..=52),
         (0u32..=11, 0u32..=52),

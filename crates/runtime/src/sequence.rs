@@ -26,6 +26,10 @@
 //!   the choice on *this* matrix and falls back to refinement if the inherited
 //!   decision no longer holds.
 //!
+//! A step whose matrix has a different size from its predecessor's (a remeshed
+//! step) runs cold, exactly as after [`SolveSequence::reset`]: no predecessor, no
+//! guess, a full encode.  It still counts as a step and chains the next one.
+//!
 //! Jobs submitted outside a sequence are untouched: every reuse path is gated on
 //! the job carrying a `SequenceSpec` (`crate::job`), so the
 //! non-sequence service remains bit-identical to the pre-sequence runtime.
@@ -122,22 +126,26 @@ impl<'a> SolveSequence<'a> {
     ///
     /// The plan is submitted with a `SequenceSpec` attached: the previous
     /// step's matrix as incremental-re-encode predecessor and its solution as
-    /// the warm-start guess (both absent on the first step, or after
-    /// [`reset`](Self::reset)).  On clean completion the step's matrix and
-    /// solution become the next step's memory.  Admission errors hand the plan
-    /// back intact, exactly like [`SolveClient::submit`].
+    /// the warm-start guess (both absent on the first step, after
+    /// [`reset`](Self::reset), and when the matrix size changed).  On clean
+    /// completion the step's matrix and solution become the next step's memory.
+    /// Admission errors hand the plan back intact, exactly like
+    /// [`SolveClient::submit`].
     pub fn step(&mut self, mut plan: SolvePlan) -> Result<TicketOutcome, SubmitError> {
         let fingerprint = plan.job.matrix.fingerprint();
         let csr = plan.job.matrix.csr_arc();
+        let shape = (csr.nrows(), csr.ncols());
         plan.job.sequence = Some(match &self.memory {
-            Some(memory) => SequenceSpec {
+            // A step whose matrix size differs cannot diff against or warm-start
+            // from its predecessor: it runs cold, as after `reset()`.
+            Some(memory) if (memory.csr.nrows(), memory.csr.ncols()) == shape => SequenceSpec {
                 predecessor: Some(SequencePredecessor {
                     fingerprint: memory.fingerprint,
                     csr: Arc::clone(&memory.csr),
                 }),
                 initial_guess: Some(Arc::clone(&memory.solution)),
             },
-            None => SequenceSpec::default(),
+            _ => SequenceSpec::default(),
         });
         let outcome = self.client.submit(plan)?.wait();
         if let TicketOutcome::Completed(job) = &outcome {
@@ -497,6 +505,44 @@ mod tests {
             "reset runs cold"
         );
         assert_eq!(seq.steps(), 3, "a post-reset step still counts");
+        client.shutdown();
+    }
+
+    #[test]
+    fn a_step_that_changes_the_matrix_size_runs_cold_and_converges() {
+        // A remeshed step cannot diff against or warm-start from a smaller
+        // predecessor: it must run cold, as after `reset()`, not fail.
+        use crate::job::RefinementSpec;
+        let client = SolveRuntime::start(RuntimeConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let mut seq = client.sequence();
+        for (i, (nx, refined)) in [(9, false), (12, false), (10, true), (10, true)]
+            .into_iter()
+            .enumerate()
+        {
+            let a = poisson_2d(nx, nx, 0.2, 7).to_csr();
+            let handle = MatrixHandle::new(format!("remesh-{i}"), a.clone());
+            let mut plan = SolvePlan::new("t", handle, format())
+                .rhs(std::sync::Arc::new(vec![1.0; a.nrows()]));
+            if refined {
+                plan = plan.refinement(RefinementSpec::to_target(1e-8));
+            }
+            let job = match seq.step(plan.build().unwrap()).unwrap() {
+                TicketOutcome::Completed(job) => job,
+                other => panic!("step {i} did not complete: {other:?}"),
+            };
+            assert!(job.result.converged(), "step {i}: {:?}", job.result.stop);
+            let tele = job.telemetry.sequence.as_ref().unwrap();
+            let chained = i == 3; // the only step whose predecessor has its size
+            assert_eq!(
+                tele.warm_start_used || tele.incremental,
+                chained,
+                "step {i}"
+            );
+        }
+        assert_eq!(seq.steps(), 4);
         client.shutdown();
     }
 }

@@ -238,28 +238,6 @@ enum ProgrammedOp {
     Sharded(Vec<crate::cache::CacheKey>, ShardedReFloatMatrix),
 }
 
-/// A by-reference fp64 operator over the shared CSR matrix (the exact ground truth the
-/// refinement loop measures residuals against) — avoids cloning O(nnz) arrays per job.
-struct CsrRef<'a>(&'a CsrMatrix);
-
-impl LinearOperator for CsrRef<'_> {
-    fn nrows(&self) -> usize {
-        self.0.nrows()
-    }
-
-    fn ncols(&self) -> usize {
-        self.0.ncols()
-    }
-
-    fn apply(&mut self, x: &[f64], y: &mut [f64]) {
-        self.0.spmv_into(x, y);
-    }
-
-    fn name(&self) -> String {
-        "fp64 (exact)".to_string()
-    }
-}
-
 /// The runtime's [`PrecisionLadder`]: quantized rungs resolved lazily through the
 /// shared encoded-matrix cache (so escalation re-uses encodings across jobs and
 /// tenants, and concurrent first touches coalesce), with the exact CSR matrix as the
@@ -417,7 +395,7 @@ impl PrecisionLadder for CachedLadder<'_> {
             let op = self.ops[level].as_mut().expect("rung fetched above");
             self.solver.solve(op, rhs, config)
         } else {
-            self.solver.solve(&mut CsrRef(self.csr), rhs, config)
+            self.solver.solve(&mut self.csr, rhs, config)
         }
     }
 }
@@ -475,7 +453,7 @@ fn run_refined(
     // host-side work), so a carried-over iterate typically starts decades below
     // ‖b‖ and skips most of the cold passes.
     let guess = seq.and_then(|s| s.initial_guess.as_deref().map(Vec::as_slice));
-    let refined = refine_warm(&mut CsrRef(csr), rhs, guess, &mut ladder, &config);
+    let refined = refine_warm(&mut job.matrix.csr(), rhs, guess, &mut ladder, &config);
     // Rung fetches (encode / coalesced wait / clone) interleave with the solve; keep
     // solver time clean of them.
     let solve_s = (clock.now_s() - solve_started_s - ladder.fetch_s).max(0.0);
